@@ -26,6 +26,7 @@ import functools
 import math
 import os
 import platform
+import random
 import resource
 import statistics
 import sys
@@ -62,8 +63,11 @@ WARMUP_SHARE = 1 / 8
 #: fast or a slow scheduling mode for its whole life and the host has slow
 #: spells of seconds, so one session per phase made runs disagree by 1.5x.
 ROUNDS = 5
-#: ``setup_s`` is the median over at least this many set-ups per run.
+#: A run sets up at least this many sessions; ``setup_s`` is the first
+#: (cold) set-up plus the median of the others.
 MIN_SETUPS = 7
+#: Passes of the transport probe over the ``BULK_SIZES`` pool.
+TRANSPORT_ROUNDS = 4
 MAX_STAGES = 3  # per-stage metrics cover stage0..stage2; absent stages read 0
 
 
@@ -302,6 +306,7 @@ class Run:
     # ------------------------------------------------------------ run modes
     def run(self) -> None:
         start = rusage()
+        reference_cpu_s = self.inputs.reference_cpu_s
         if self.trace:
             self._traced()
         else:
@@ -309,13 +314,31 @@ class Run:
         for _ in range(MIN_SETUPS - len(self.setup_s)):
             self.guarded(self.setup_only)
         end = rusage()
-        cpu_s = end[0] - start[0]
-        setup_s = median_or_nan(self.setup_s)
+        # The serial reference runs inside the window; its CPU is not the program's.
+        cpu_s = end[0] - start[0] - (self.inputs.reference_cpu_s - reference_cpu_s)
+        items = self.attempted
+        # Only the first set-up in a process pays the calibration probes
+        # (their results are cached per process), so it is counted whole.
+        cold = self.setup_s[0] if self.setup_s else math.nan
+        warm = median_or_nan(self.setup_s[1:])
+        setup_s = cold + warm
+        if self.trace:
+            # The benchmark's own codec probe and span dump run outside the
+            # CPU window.
+            self._transport_layer()
+            self.put("transport.shm_leaked", self.leaked, "count")
+            self.spans.write(OUT_DIR / f"{self.workload.name}-seed{self.seed}.spans.npz")
         ok = 1.0 - self.failed / self.attempted if self.attempted else 0.0
-        self.notes.update(cpu_s=cpu_s, setups=len(self.setup_s), error_rate=1.0 - ok)
+        self.notes.update(
+            cpu_s=cpu_s,
+            setups=len(self.setup_s),
+            setup_cold_s=cold,
+            setup_warm_median_s=warm,
+            error_rate=1.0 - ok,
+        )
         if self.trace:
             self.notes.update(rss_peak_mb=end[1], setup_s=setup_s)
-            self.put("proc.cpu_ms_per_kitem", cpu_s * 1e6 / max(self.attempted, 1), "ms")
+            self.put("proc.cpu_ms_per_kitem", cpu_s * 1e6 / max(items, 1), "ms")
         else:
             self.put("rss_peak_mb", end[1], "MB")
             self.put("setup_s", setup_s, "s")
@@ -363,11 +386,8 @@ class Run:
         self.put("gen.lag_ms.p99", stats.percentile(loaded_res["lag_ms"], 99), "ms")
         self.put("loaded.backlog_growth", loaded_res["backlog_growth"], "count")
         self.put("loaded.valid", 0 if loaded_res["backlog_grows"] else 1, "bool")
-        self._transport_layer()
-        self.put("transport.shm_leaked", self.leaked, "count")
         self.put("host.serial_items_per_s", self.inputs.serial_rate, "1/s")
         self.put("host.nproc", os.cpu_count() or 0, "count")
-        self.spans.write(OUT_DIR / f"{wl.name}-seed{self.seed}.spans.npz")
 
     def _finish(self, live: Live, journal_metrics: bool = False) -> None:
         try:
@@ -437,34 +457,46 @@ class Run:
         }
 
     def _transport_layer(self) -> None:
-        """The auto codec on this workload's own payloads, per size class."""
+        """The auto codec on the seeded ``BULK_SIZES`` mix, whatever the
+        workload (it is ``bulk_grid``'s own pool), per size class.  Every
+        decoded frame is checked against its input, and segments the codec
+        left behind count as leaked and failed."""
         codec = transport.get("auto", threshold=auto_threshold())
-        items, _ = self.inputs.draw(64)
-        classes: dict[str, list] = {}  # size class -> [enc s, dec s, MB, inline]
+        pool = workloads.bulk_pool(self.seed)
+        order = list(range(len(pool))) * TRANSPORT_ROUNDS
+        random.Random(self.seed).shuffle(order)
+        classes: dict[int, list] = {}  # nbytes -> [enc s, dec s, MB, inline, frames]
         try:
-            for x in items:
+            for i in order:
+                x = pool[i]
                 t0 = time.perf_counter()
                 frame = codec.encode(x)
                 t1 = time.perf_counter()
-                codec.decode(frame)
+                y = codec.decode(frame)
                 t2 = time.perf_counter()
+                self.attempted += 1
+                self.failed += not np.array_equal(y, x)
                 codec.release(frame)
-                size = getattr(x, "nbytes", None)
-                label = f"{size}B" if size is not None else type(x).__name__
-                acc = classes.setdefault(label, [0.0, 0.0, 0.0, 0])
+                acc = classes.setdefault(x.nbytes, [0.0, 0.0, 0.0, 0, 0])
                 acc[0] += t1 - t0
                 acc[1] += t2 - t1
-                acc[2] += frame.nbytes / 1e6
+                acc[2] += x.nbytes / 1e6
                 acc[3] += frame.inline
+                acc[4] += 1
         finally:
-            codec.sweep()
-        for label, (enc, dec, mb, _) in sorted(classes.items()):
-            self.notes[f"transport.{label}.encode_us_per_mb"] = enc * 1e6 / mb
-            self.notes[f"transport.{label}.decode_us_per_mb"] = dec * 1e6 / mb
-        enc, dec, mb, inline = (sum(col) for col in zip(*classes.values()))
+            leaked = checks.count_leaked(
+                codec.session, transport.session_segments, transport.sweep_session
+            )
+            self.leaked += leaked
+            self.failed += leaked
+        for size, (enc, dec, mb, inline, frames) in sorted(classes.items()):
+            self.notes[f"transport.{size}B.encode_us_per_mb"] = enc * 1e6 / mb
+            self.notes[f"transport.{size}B.decode_us_per_mb"] = dec * 1e6 / mb
+            self.notes[f"transport.{size}B.inline_share"] = inline / frames
+        enc, dec, mb, inline, frames = (sum(col) for col in zip(*classes.values()))
         self.put("transport.encode_us_per_mb", enc * 1e6 / mb, "us/MB")
         self.put("transport.decode_us_per_mb", dec * 1e6 / mb, "us/MB")
-        self.put("transport.inline_share", inline / len(items), "ratio")
+        self.put("transport.inline_share", inline / frames, "ratio")
 
 
 def split(total: int, parts: int) -> list[int]:

@@ -51,7 +51,6 @@ def run_open_loop(
     *,
     timeout: float = 120.0,
     submit: Callable[[Any], Any] | None = None,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> OpenLoopRun:
     """Submit ``items`` at ``rate`` and consume every result in order.
 
@@ -61,7 +60,7 @@ def run_open_loop(
     """
     n = len(items)
     submit = session.submit if submit is None else submit
-    t0 = clock() + 0.01  # let both threads start before the first due time
+    t0 = time.perf_counter() + 0.01  # let both threads start before the first due time
     run = OpenLoopRun(due=schedule(t0, rate, n))
     due = run.due
     outputs = run.outputs
@@ -74,7 +73,7 @@ def run_open_loop(
             if n == 0:
                 return
             for value in results:
-                done.append(clock())
+                done.append(time.perf_counter())
                 outputs.append(value)
                 if len(outputs) == n or stop.is_set():
                     break
@@ -88,14 +87,14 @@ def run_open_loop(
     try:
         k = 0
         while k < n and not stop.is_set():
-            now = clock()
+            now = time.perf_counter()
             if due[k] > now:
                 time.sleep(min(due[k] - now, 0.005))
                 continue
             # Everything due by now goes out back to back; each submit's
             # lateness is measured at the moment it starts.
             while k < n and due[k] <= now:
-                lag.append(clock() - due[k])
+                lag.append(time.perf_counter() - due[k])
                 submit(items[k])
                 k += 1
     except BaseException as err:  # noqa: BLE001 - reported to the caller

@@ -1,6 +1,6 @@
 """Run one workload of the repo benchmark and print its metrics.
 
-    python3 perfbench/run.py --workload tiny_threads --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload tiny_threads --seed 1 --seconds 32 --trace 0
 
 Run from the repository root.  Human-readable lines come first (the host
 fingerprint, resolved knobs, sample counts, error rate); the last line is

@@ -13,23 +13,27 @@ from typing import Sequence
 #: A percentile is reported only when at least this many samples lie
 #: strictly beyond its rank; below that the tail is a handful of outliers.
 MIN_BEYOND = 10
+#: The open-loop backlog "grows" when it climbs by more than this many
+#: seconds of arrivals over a phase; a sustainable rate only jitters.
+BACKLOG_SLACK_S = 0.1
 
 
-def min_samples(q: float, beyond: int = MIN_BEYOND) -> int:
+def min_samples(q: float) -> int:
     """Smallest sample count for which the ``q`` percentile is reportable."""
     if not 0 < q < 100:
         raise ValueError(f"percentile must be in (0, 100), got {q}")
-    n = beyond
-    while n - math.ceil(q * n / 100) < beyond:
+    n = MIN_BEYOND
+    while n - math.ceil(q * n / 100) < MIN_BEYOND:
         n += 1
     return n
 
 
-def percentile(samples: Sequence[float], q: float, beyond: int = MIN_BEYOND) -> float | None:
-    """Nearest-rank ``q`` percentile, or None when fewer than ``beyond``
-    samples lie past its rank (the tail is then too thin to report)."""
+def percentile(samples: Sequence[float], q: float) -> float | None:
+    """Nearest-rank ``q`` percentile, or None when fewer than
+    ``MIN_BEYOND`` samples lie past its rank (the tail is then too thin
+    to report)."""
     n = len(samples)
-    if n < min_samples(q, beyond):
+    if n < min_samples(q):
         return None
     rank = math.ceil(q * n / 100)  # 1-based nearest rank
     return sorted(samples)[rank - 1]
@@ -87,10 +91,11 @@ def backlog_growth(series: Sequence[tuple[float, int]]) -> float:
     return statistics.fmean(last) - statistics.fmean(first)
 
 
-def backlog_grows(series: Sequence[tuple[float, int]], rate: float, slack_s: float = 0.1) -> bool:
-    """True when the backlog grew by more than ``slack_s`` seconds of arrivals.
+def backlog_grows(series: Sequence[tuple[float, int]], rate: float) -> bool:
+    """True when the backlog grew by more than ``BACKLOG_SLACK_S`` seconds
+    of arrivals.
 
     A sustainable fixed rate keeps the backlog flat (it only jitters); a
     rate beyond capacity makes it climb for as long as the phase lasts.
     """
-    return backlog_growth(series) > rate * slack_s
+    return backlog_growth(series) > rate * BACKLOG_SLACK_S

@@ -203,6 +203,34 @@ class TestLeakCounter:
             codec.sweep()
 
 
+# ------------------------------------------------------------------- inputs
+class TestInputs:
+    def test_same_seed_same_inputs(self):
+        import workloads
+
+        a = workloads.WORKLOADS["tiny_threads"].inputs(7).draw(50)
+        b = workloads.WORKLOADS["tiny_threads"].inputs(7).draw(50)
+        assert a == b
+        pools = workloads.bulk_pool(7), workloads.bulk_pool(7)
+        assert [x.nbytes for x in pools[0]] == [
+            s for s, c in zip(workloads.BULK_SIZES, workloads.BULK_COUNTS) for _ in range(c)
+        ]
+        assert all((x == y).all() for x, y in zip(*pools))
+
+    def test_reference_cpu_is_accounted(self):
+        import workloads
+
+        def busy_reference(items):
+            t_end = time.thread_time() + 0.02
+            while time.thread_time() < t_end:
+                pass
+            return items
+
+        inputs = workloads.SeededInputs(1, workloads.tiny_items, busy_reference)
+        inputs.draw(3)
+        assert inputs.reference_cpu_s >= 0.02
+
+
 # ------------------------------------------------------------ spans, runner
 class TestSpans:
     def test_write(self, tmp_path):

@@ -30,7 +30,11 @@ from repro.workloads.payloads import (
 
 class SeededInputs:
     """Items from a seeded generator; expected outputs from the serial
-    reference, whose rate (``serial_rate``) moves only with the host."""
+    reference, whose rate (``serial_rate``) moves only with the host.
+
+    ``reference_cpu_s`` is the CPU the reference took on the drawing
+    thread, which the harness takes out of the program's CPU figure.
+    """
 
     def __init__(self, seed: int, make: Callable, reference: Callable) -> None:
         self.rng = random.Random(seed)
@@ -38,12 +42,15 @@ class SeededInputs:
         self.reference = reference
         self.serial_items = 0
         self.serial_s = 0.0
+        self.reference_cpu_s = 0.0
 
     def draw(self, n: int) -> tuple[list, list]:
         items = self.make(self.rng, n)
+        c0 = time.thread_time()
         t0 = time.perf_counter()
         expected = self.reference(items)
         self.serial_s += time.perf_counter() - t0
+        self.reference_cpu_s += time.thread_time() - c0
         self.serial_items += n
         return items, expected
 
@@ -83,6 +90,13 @@ BULK_SIZES = (50_000, 500_000, 2_000_000)
 BULK_COUNTS = (16, 3, 1)
 
 
+def bulk_pool(seed: int) -> list[np.ndarray]:
+    """One seeded float64 array per entry of the ``BULK_SIZES`` mix."""
+    gen = np.random.default_rng(seed)
+    sizes = [s for s, c in zip(BULK_SIZES, BULK_COUNTS) for _ in range(c)]
+    return [gen.random(size // 8) for size in sizes]
+
+
 class BulkInputs(SeededInputs):
     """A seeded pool of arrays, dealt out in seeded shuffled rounds.
 
@@ -93,9 +107,7 @@ class BulkInputs(SeededInputs):
 
     def __init__(self, seed: int) -> None:
         super().__init__(seed, None, None)
-        gen = np.random.default_rng(seed)
-        sizes = [s for s, c in zip(BULK_SIZES, BULK_COUNTS) for _ in range(c)]
-        self.pool = [gen.random(size // 8) for size in sizes]
+        self.pool = bulk_pool(seed)
         t0 = time.perf_counter()
         self.expected = [checksum_array(smooth_array(scale_array(a))) for a in self.pool]
         self.serial_s = time.perf_counter() - t0
