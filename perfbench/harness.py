@@ -51,10 +51,11 @@ OUT_DIR = Path(__file__).resolve().parent / "_out"
 
 #: Share of ``--seconds`` each phase gets.  Open-loop phases never run
 #: fewer items than a reportable p99 needs, so at low rates they may run
-#: longer than their share.
-CLOSED_SHARE = 0.25
-TRICKLE_SHARE = 0.3
-LOADED_SHARE = 0.45
+#: longer than their share.  The loaded phase gets the most: its p99 rides
+#: on host stalls of a few ms, and on tiny_threads it spread most.
+CLOSED_SHARE = 0.3
+TRICKLE_SHARE = 0.15
+LOADED_SHARE = 0.55
 #: Leading share of every open-loop phase left out of its latency figures:
 #: a fresh session is still sizing its admission window and batches there.
 WARMUP_SHARE = 1 / 8
@@ -62,7 +63,16 @@ WARMUP_SHARE = 1 / 8
 #: round-robin with the other phases' sessions.  A session settles into a
 #: fast or a slow scheduling mode for its whole life and the host has slow
 #: spells of seconds, so one session per phase made runs disagree by 1.5x.
-ROUNDS = 5
+#: The closed phase's rate is a median over streams, so it gains from
+#: sampling many session modes (tiny_threads' items_per_s spread 0.14-0.21
+#: over five sessions, 0.08 over 32); an open-loop session must stay long
+#: enough for its own p99 (at 32 sessions tiny_threads' loaded p99 spread
+#: more than at 16).
+CLOSED_ROUNDS = 32
+OPEN_ROUNDS = 16
+#: Length of the untimed open-loop session at the loaded rate that starts
+#: every run, so that no timed session runs in a cold process.
+WARMUP_RUN_S = 1.0
 #: A run sets up at least this many sessions; ``setup_s`` is the first
 #: (cold) set-up plus the median of the others.
 MIN_SETUPS = 7
@@ -278,7 +288,7 @@ class Run:
         """Sessions of a closed phase (a fixed stream count, spread out)."""
         res = {"rates": [], "drain_tails": [], "submit_us": [], "wall_s": 0.0}
         total = self.workload.closed_streams(seconds)
-        plan = split(total, min(ROUNDS, total))
+        plan = split(total, min(CLOSED_ROUNDS, total))
         last = len(plan) - 1
         return [
             functools.partial(self.closed_session, m, traced, res, k == last)
@@ -289,16 +299,26 @@ class Run:
         """Sessions of an open-loop phase: at least enough items for a p99
         after warm-up, split only as far as every session still times that
         many (a short session at a low rate is mostly its own warm-up)."""
-        res = {"groups": [], "lag_ms": [], "backlog_growth": -math.inf, "backlog_grows": False}
+        res = open_results()
         per = math.ceil(stats.min_samples(99) / (1 - WARMUP_SHARE))
         n = max(math.ceil(rate * seconds), per)
-        plan = split(n, max(1, min(ROUNDS, n // per)))
+        plan = split(n, max(1, min(OPEN_ROUNDS, n // per)))
         return [functools.partial(self.open_session, rate, m, traced, res) for m in plan], res
+
+    def warm_up(self) -> None:
+        """One open-loop session at the loaded rate whose latencies are
+        dropped; its outputs are still checked."""
+        rate = self.workload.loaded_rate
+        self.guarded(
+            functools.partial(
+                self.open_session, rate, math.ceil(rate * WARMUP_RUN_S), False, open_results()
+            )
+        )
 
     def interleave(self, *phases: list) -> None:
         """Run the phases' sessions round-robin: a slow spell of the host
         then lands on every phase a little instead of on one phase whole."""
-        for k in range(ROUNDS):
+        for k in range(max(map(len, phases))):
             for sessions in phases:
                 if k < len(sessions):
                     self.guarded(sessions[k])
@@ -335,6 +355,7 @@ class Run:
             setup_cold_s=cold,
             setup_warm_median_s=warm,
             error_rate=1.0 - ok,
+            serial_items_per_s=self.inputs.serial_rate,
         )
         if self.trace:
             self.notes.update(rss_peak_mb=end[1], setup_s=setup_s)
@@ -349,6 +370,7 @@ class Run:
         closed, closed_res = self.closed_phase(CLOSED_SHARE * r, False)
         trickle, trickle_res = self.open_phase(wl.trickle_rate, TRICKLE_SHARE * r, False)
         loaded, loaded_res = self.open_phase(wl.loaded_rate, LOADED_SHARE * r, False)
+        self.warm_up()
         self.interleave(closed, trickle, loaded)
         self.put("items_per_s", median_or_nan(closed_res["rates"]), "1/s")
         self.notes.update((name, value) for name, (value, _) in self.knobs(closed_res).items())
@@ -375,6 +397,7 @@ class Run:
         plain, plain_res = self.closed_phase(CLOSED_SHARE * r, False)
         traced, traced_res = self.closed_phase(CLOSED_SHARE * r, True)
         loaded, loaded_res = self.open_phase(wl.loaded_rate, LOADED_SHARE * r, True)
+        self.warm_up()
         self.interleave(plain, traced, loaded)
         for name, (value, unit) in self.knobs(traced_res).items():
             self.put(name, value, unit)
@@ -497,6 +520,11 @@ class Run:
         self.put("transport.encode_us_per_mb", enc * 1e6 / mb, "us/MB")
         self.put("transport.decode_us_per_mb", dec * 1e6 / mb, "us/MB")
         self.put("transport.inline_share", inline / frames, "ratio")
+
+
+def open_results() -> dict:
+    """What the sessions of one open-loop phase add their figures to."""
+    return {"groups": [], "lag_ms": [], "backlog_growth": -math.inf, "backlog_grows": False}
 
 
 def split(total: int, parts: int) -> list[int]:

@@ -15,12 +15,16 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
+#: How long a child gets to end after SIGTERM before it is killed.
+STOP_GRACE_S = 5.0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -110,5 +114,69 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def child_pids() -> list[int]:
+    """Processes whose parent is this one, read from ``/proc``."""
+    me, pids = os.getpid(), []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                stat = fh.read()
+        except OSError:
+            continue  # ended while we looked
+        # The command name may hold spaces; the fields after it do not.
+        if int(stat[stat.rindex(b")") + 2 :].split()[1]) == me:
+            pids.append(int(entry))
+    return pids
+
+
+def stop_children() -> None:
+    """Stop every process this run started and wait until each has ended.
+
+    The first shared-memory segment (the auto codec's calibration probe
+    makes one in every run) starts multiprocessing's resource tracker,
+    which by design outlives its parent; it is stopped first, the way it
+    expects.  Anything else still a child gets SIGTERM, then SIGKILL."""
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker._resource_tracker._stop()
+    except Exception:  # noqa: BLE001 - fall through to the generic reaper
+        pass
+    pids = child_pids()
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGTERM)
+        except ProcessLookupError:
+            pass
+    deadline = time.monotonic() + STOP_GRACE_S
+    while pids:
+        for pid in list(pids):
+            try:
+                done, _ = os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                done = pid
+            if done:
+                pids.remove(pid)
+        if pids and time.monotonic() > deadline:
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                try:
+                    os.waitpid(pid, 0)
+                except ChildProcessError:
+                    pass
+            break
+        if pids:
+            time.sleep(0.05)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+    finally:
+        stop_children()
+    sys.exit(code)

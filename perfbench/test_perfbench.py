@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 import time
@@ -267,3 +268,27 @@ def test_first_grow_after_step():
     assert grow(10.0) == pytest.approx(0.5)
     assert grow(10.8) == pytest.approx(1.7)
     assert math.isnan(grow(13.5))
+
+
+def test_stop_children_reaps_every_child(monkeypatch):
+    import subprocess
+
+    import run
+
+    # One child that exits on SIGTERM, one that ignores it.
+    polite = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    stubborn = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "import signal, time; signal.signal(signal.SIGTERM, signal.SIG_IGN); time.sleep(60)",
+        ]
+    )
+    time.sleep(0.3)  # let the second one install its handler
+    assert {polite.pid, stubborn.pid} <= set(run.child_pids())
+    monkeypatch.setattr(run, "STOP_GRACE_S", 0.5)
+    run.stop_children()
+    assert not {polite.pid, stubborn.pid} & set(run.child_pids())
+    for proc in (polite, stubborn):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(proc.pid, 0)  # already reaped
