@@ -2,19 +2,23 @@
 """Real execution: the image-processing pipeline on local threads.
 
 The same :class:`PipelineSpec` used in grid simulations carries real numpy
-callables, so it runs unchanged on the thread runtime.  numpy releases the
+callables, so it runs unchanged on the thread backend.  numpy releases the
 GIL, so replicating the heavy edge-detection stage gives genuine speedup on
-a multicore host.  The adaptive thread pipeline then finds that replication
-on its own between batches.
+a multicore host.  A :class:`RuntimeAdaptiveRunner` driving the
+:class:`BottleneckGrowthPolicy` then finds that replication on its own,
+growing the bottleneck stage's warm worker pool while images flow.
 
 Run:  python examples/image_pipeline_local.py
 """
 
-import time
-
-from repro import AdaptiveThreadPipeline, ThreadPipeline
-from repro.workloads.apps import image_pipeline, make_images
+from repro.backend import (
+    BottleneckGrowthPolicy,
+    RuntimeAdaptiveRunner,
+    ThreadBackend,
+    local_config,
+)
 from repro.util.tables import render_table
+from repro.workloads.apps import image_pipeline, make_images
 
 
 def main() -> None:
@@ -25,18 +29,15 @@ def main() -> None:
 
     rows = []
     for replicas in ([1, 1, 1, 1], [1, 2, 1, 1], [1, 3, 1, 1]):
-        tp = ThreadPipeline(pipeline, replicas=replicas)
-        t0 = time.perf_counter()
-        out = tp.run(images)
-        elapsed = time.perf_counter() - t0
-        assert len(out) == len(images)
-        stats = tp.last_stats
+        with ThreadBackend(pipeline, replicas=replicas) as backend:
+            res = backend.run(images)
+        assert res.outputs is not None and len(res.outputs) == len(images)
         rows.append(
             [
                 str(replicas),
-                f"{elapsed:.2f}",
-                f"{len(images) / elapsed:.1f}",
-                " ".join(f"{m:.3f}" for m in stats.service_means()),
+                f"{res.elapsed:.2f}",
+                f"{res.throughput:.1f}",
+                " ".join(f"{m:.3f}" for m in res.service_means),
             ]
         )
     print(
@@ -47,14 +48,30 @@ def main() -> None:
         )
     )
 
-    print("\nadaptive thread pipeline (decides replication between batches):")
+    print("\nbottleneck growth (adds warm workers while images flow):")
     # Real measured stage costs are closer together than the simulated
     # weights, so accept modest imbalance before adding a worker.
-    atp = AdaptiveThreadPipeline(pipeline, max_workers=3, imbalance_threshold=1.05)
-    batches = [make_images(20, size=256, seed=s) for s in range(4)]
-    atp.run_batches(batches)
-    print(f"  replica history: {atp.adaptations}")
-    print(f"  final replicas per stage: {atp.replicas}")
+    config = local_config(interval=0.05, cooldown=0.05, settle_time=0.05)
+    policy = BottleneckGrowthPolicy(
+        pipeline, config, max_workers=3, imbalance_threshold=1.05
+    )
+    runner = RuntimeAdaptiveRunner(
+        pipeline,
+        ThreadBackend(pipeline, max_replicas=3),
+        policy=policy,
+        rollback=False,
+    )
+    with runner:
+        for seed in range(4):
+            batch = make_images(20, size=256, seed=seed)
+            res = runner.run(batch)
+            assert res.outputs is not None and len(res.outputs) == len(batch)
+            for event in res.adaptation_events:
+                print(f"  event: {event.reason}")
+        final = runner.backend.replica_counts()
+    history = [(round(t, 2), counts) for t, counts in runner.replica_history]
+    print(f"  replica history (s, counts): {history}")
+    print(f"  final replicas per stage: {final}")
     print("\nnote: results depend on core count; the *shape* (stage 1 gets")
     print("the workers) is the point, not absolute speedups.")
 

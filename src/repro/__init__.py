@@ -4,8 +4,8 @@ A from-scratch reproduction of the adaptive pipeline skeleton of
 Gonzalez-Velez & Cole, including every substrate it needs: a discrete-event
 grid simulator, an NWS-style monitoring/forecasting layer, an analytic
 mapping model with optimisers, and the observe-decide-act adaptation engine.
-See README.md for a tour and DESIGN.md for the full inventory (and the
-paper-text mismatch notice).
+The guides under ``docs/`` cover the backends, streaming sessions and
+observability.
 
 Quickstart::
 
@@ -54,7 +54,6 @@ from repro.gridsim import (
     uniform_grid,
 )
 from repro.model import Mapping, ModelContext, StageCost, predict
-from repro.runtime import AdaptiveThreadPipeline, ThreadPipeline
 from repro.skel import (
     farm,
     open_pipeline,
@@ -77,7 +76,6 @@ __all__ = [
     "AdaptationEvent",
     "AdaptationPolicy",
     "AdaptivePipeline",
-    "AdaptiveThreadPipeline",
     "Backend",
     "BackendResult",
     "FixedWork",
@@ -95,7 +93,6 @@ __all__ = [
     "StageCost",
     "StageSpec",
     "ThreadBackend",
-    "ThreadPipeline",
     "__version__",
     "available_backends",
     "balanced_pipeline",

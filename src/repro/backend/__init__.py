@@ -48,6 +48,7 @@ from repro.backend.base import (
     Session,
     SessionClosed,
     SessionStats,
+    StageError,
     Ticket,
     available_backends,
     capability_error,
@@ -79,6 +80,7 @@ __all__ = [
     "SessionClosed",
     "SessionStats",
     "SimBackend",
+    "StageError",
     "ThreadBackend",
     "Ticket",
     "WorkerAgent",

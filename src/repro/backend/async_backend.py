@@ -30,8 +30,8 @@ port — sessions included — on ``asyncio``:
   :class:`~repro.util.ordering.SequenceReorderer`: every stage starts items
   in input order and the collector emits in input order — the
   ``Pipeline1for1`` contract, replica races notwithstanding.
-* **Abort-safe shutdown** mirrors the thread runtime: a failing stage
-  records a :class:`~repro.runtime.threads.StageError`, poisons the
+* **Abort-safe shutdown** mirrors the thread backend: a failing stage
+  records a :class:`~repro.backend.base.StageError`, poisons the
   session, in-flight tasks are cancelled, queues drain via sentinels, and
   ``drain()``/``join()`` re-raise with the stage named — no coroutine is
   left parked on a full queue.
@@ -51,12 +51,12 @@ from repro.backend.base import (
     Backend,
     Session,
     SessionClosed,
+    StageError,
     register_backend,
     validate_pipeline_shape,
 )
 from repro.core.pipeline import PipelineSpec
 from repro.monitor.instrument import PipelineInstrumentation
-from repro.runtime.threads import StageError
 from repro.util.batching import Batch, map_batch
 from repro.util.ordering import SequenceReorderer
 from repro.util.validation import check_positive

@@ -68,6 +68,7 @@ __all__ = [
     "Session",
     "SessionClosed",
     "SessionStats",
+    "StageError",
     "Ticket",
     "available_backends",
     "capability_error",
@@ -89,6 +90,15 @@ class BackendCapabilityError(RuntimeError):
 
 class SessionClosed(RuntimeError):
     """The session was closed; it accepts no further submits or drains."""
+
+
+class StageError(RuntimeError):
+    """A stage function raised; carries the stage name and original error."""
+
+    def __init__(self, stage_name: str, original: BaseException) -> None:
+        super().__init__(f"stage {stage_name!r} failed: {original!r}")
+        self.stage_name = stage_name
+        self.original = original
 
 
 def capability_error(backend: "Backend | str", operation: str) -> BackendCapabilityError:
@@ -615,7 +625,7 @@ class Session:
         if self.instrumentation is None:
             return []
         return [
-            s.total.mean if s.total.n else math.nan
+            s.service_seconds / s.items_processed if s.items_processed else math.nan
             for s in self.instrumentation.stages
         ]
 

@@ -67,7 +67,7 @@ from multiprocessing import shared_memory
 from typing import Any
 
 from repro import transport as _transport
-from repro.backend.base import Backend, Session, register_backend
+from repro.backend.base import Backend, Session, StageError, register_backend
 from repro.backend.distributed.protocol import ProtocolError, recv_frame, send_frame
 from repro.backend.distributed.worker import WorkerAgent
 from repro.core.pipeline import PipelineSpec
@@ -75,7 +75,6 @@ from repro.model.throughput import ResourceView, fn_view
 from repro.monitor.instrument import PipelineInstrumentation
 from repro.monitor.resource_monitor import load_to_speed
 from repro.obs.clock import ClockSync
-from repro.runtime.threads import StageError
 from repro.transport import (
     Codec,
     Frame,

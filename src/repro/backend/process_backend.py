@@ -58,12 +58,12 @@ from repro import transport as _transport
 from repro.backend.base import (
     Backend,
     Session,
+    StageError,
     register_backend,
     validate_pipeline_shape,
 )
 from repro.core.pipeline import PipelineSpec
 from repro.monitor.instrument import PipelineInstrumentation
-from repro.runtime.threads import StageError
 from repro.transport import Codec, Frame
 from repro.util.batching import Batch, map_batch
 from repro.util.ordering import SequenceReorderer

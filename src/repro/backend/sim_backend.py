@@ -152,7 +152,6 @@ class SimBackend(Backend):
                 outputs.append(item)
         else:
             outputs = None
-        bus = self.events
         runner = AdaptivePipeline(
             self.pipeline,
             self.grid,
@@ -160,14 +159,9 @@ class SimBackend(Backend):
             initial_mapping=self.mapping,
             buffer_capacity=self.buffer_capacity,
             seed=self.seed,
-            trace=bus.active,
+            events=self.events,
         )
         self.last_run = runner.run(len(items))
-        if bus.active:
-            # Bridge the simulator's trace onto the session bus with the
-            # events' *simulated* timestamps preserved.
-            for ev in runner.tracer:
-                bus.emit(ev.kind, ev.message, at=ev.time, **ev.fields)
         return outputs
 
     def service_means_from_spec(self) -> list[float]:

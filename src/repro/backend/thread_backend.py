@@ -1,52 +1,243 @@
-"""Thread adapter: a native streaming session on the thread runtime.
+"""Thread adapter: a native streaming session on a thread fabric.
 
 Threads share the interpreter, so this backend suits I/O-bound stages and
 GIL-releasing (numpy) kernels; pure-Python CPU-bound stages should use the
 process backend instead.
 
-The session owns the whole thread fabric for its lifetime — per-stage
-dispatchers, worker pools, the output collector — wired exactly like
-:class:`~repro.runtime.threads.ThreadPipeline` (whose queue/dispatcher/
-worker building blocks it reuses) but **open-ended**: the submit side is
-the first queue's only producer and finishes only at ``close()``, so the
-sentinel shutdown cascade never fires between streams and back-to-back
-streams reuse the same warm worker threads.  Sequence numbers are
-session-global (``gseq``), which lets the per-stage
-:class:`~repro.util.ordering.SequenceReorderer` instances keep one ordering
-space across stream boundaries.
+Architecture per stage::
 
-Live reconfiguration maps onto the same wiring as the pipeline runtime's
-``add_replica``/``remove_replica``: growth spawns a worker into the running
-stage (always possible — a session's stage never drains before close),
-shrink retires one lazily via the ``_RETIRE`` pill.
+    in_q --> dispatcher --> work_q --> worker x R --> next stage's in_q
+
+* The **dispatcher** restores sequence order before dispatch, so a stage
+  always *starts* items in input order even when an upstream stage is
+  replicated (replicas may still *finish* out of order; the next dispatcher
+  re-sorts).  The final dispatcher feeds the output collector, so session
+  output is in input order — the 1-for-1 contract.
+* **Workers** apply the stage callable.  Replication is only allowed for
+  stages marked ``replicable`` (stateless).
+* Shutdown cascades with sentinels: each queue knows its producer count;
+  when the last producer finishes, consumers receive one sentinel each.
+
+The session owns the whole fabric for its lifetime — per-stage
+dispatchers, worker pools, the output collector — and it is
+**open-ended**: the submit side is the first queue's only producer and
+finishes only at ``close()``, so the sentinel shutdown cascade never fires
+between streams and back-to-back streams reuse the same warm worker
+threads.  Sequence numbers are session-global (``gseq``), which lets the
+per-stage :class:`~repro.util.ordering.SequenceReorderer` instances keep
+one ordering space across stream boundaries.
+
+Live reconfiguration: growth spawns a worker into the running stage
+(always possible — a session's stage never drains before close), shrink
+retires one lazily via the ``_RETIRE`` pill.  A stage function that raises
+records a :class:`~repro.backend.base.StageError` naming the stage and
+sets the abort flag; every thread then keeps draining its queue (without
+applying stage functions) so shutdown never deadlocks on a full buffer.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
-from typing import Any
+import time
+from typing import Any, Callable
 
 from repro.backend.base import (
     Backend,
     Session,
+    StageError,
     register_backend,
     validate_pipeline_shape,
 )
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView, fn_view
-from repro.monitor.instrument import PipelineInstrumentation
+from repro.monitor.instrument import PipelineInstrumentation, StageMetrics
 from repro.monitor.resource_monitor import HostLoadSampler
-from repro.runtime.threads import (
-    _RETIRE,
-    _SENTINEL,
-    _CountedQueue,
-    _Dispatcher,
-    _Worker,
-)
-from repro.util.batching import Batch
+from repro.util.batching import Batch, map_batch
+from repro.util.ordering import SequenceReorderer
 from repro.util.validation import check_positive
 
 __all__ = ["ThreadBackend"]
+
+_SENTINEL = object()
+_RETIRE = object()  # consumed by exactly one worker, which then exits
+
+
+class _CountedQueue:
+    """Bounded queue that delivers sentinels when all producers finish."""
+
+    def __init__(self, capacity: int, producers: int, consumers: int) -> None:
+        self.q: queue.Queue = queue.Queue(maxsize=capacity)
+        self._lock = threading.Lock()
+        self._producers = producers
+        self._consumers = consumers
+
+    def put(self, item: Any, abort: threading.Event | None = None) -> bool:
+        """Put ``item``; with ``abort`` set, give up instead of blocking."""
+        if abort is None:
+            self.q.put(item)
+            return True
+        while True:
+            try:
+                self.q.put(item, timeout=0.05)
+                return True
+            except queue.Full:
+                if abort.is_set():
+                    return False
+
+    def get(self) -> Any:
+        return self.q.get()
+
+    def add_consumer(self) -> None:
+        with self._lock:
+            if self._producers == 0:
+                # Producers already finished: their sentinels are out, so the
+                # newcomer needs its own to terminate.
+                self.q.put(_SENTINEL)
+            else:
+                self._consumers += 1
+
+    def remove_consumer(self) -> None:
+        with self._lock:
+            self._consumers -= 1
+
+    def add_producer(self) -> None:
+        with self._lock:
+            if self._producers == 0:
+                raise RuntimeError("queue already drained; cannot add a producer")
+            self._producers += 1
+
+    def producer_done(self) -> None:
+        with self._lock:
+            self._producers -= 1
+            if self._producers == 0:
+                for _ in range(self._consumers):
+                    self.q.put(_SENTINEL)
+
+    @property
+    def drained(self) -> bool:
+        """True once every producer finished (sentinels are out)."""
+        with self._lock:
+            return self._producers == 0
+
+
+class _Dispatcher(threading.Thread):
+    """Reorders (seq, value) pairs and forwards them in sequence order."""
+
+    def __init__(
+        self,
+        in_q: _CountedQueue,
+        out_q: _CountedQueue,
+        name: str,
+        abort: threading.Event,
+        metrics: StageMetrics | None = None,
+        metrics_lock: threading.Lock | None = None,
+    ) -> None:
+        super().__init__(name=name, daemon=True)
+        self.in_q = in_q
+        self.out_q = out_q
+        self.abort = abort
+        self.metrics = metrics
+        self.metrics_lock = metrics_lock
+
+    def _forward(self, seq: int, value: Any) -> None:
+        self.out_q.put((seq, value), abort=self.abort)
+        if self.metrics is not None and self.metrics_lock is not None:
+            with self.metrics_lock:
+                self.metrics.record_queue_length(self.out_q.q.qsize())
+
+    def run(self) -> None:
+        reorder = SequenceReorderer()
+        try:
+            while True:
+                got = self.in_q.get()
+                if got is _SENTINEL:
+                    break
+                if self.abort.is_set():
+                    continue  # drain without forwarding
+                seq, value = got
+                for ready_seq, ready in reorder.push(seq, value):
+                    self._forward(ready_seq, ready)
+            if not self.abort.is_set():
+                for ready_seq, ready in reorder.drain():
+                    self._forward(ready_seq, ready)
+        finally:
+            self.out_q.producer_done()
+
+
+class _Worker(threading.Thread):
+    """Applies one stage function to dispatched items."""
+
+    def __init__(
+        self,
+        stage_index: int,
+        stage_name: str,
+        fn,
+        work_q: _CountedQueue,
+        out_q: _CountedQueue,
+        metrics: StageMetrics,
+        metrics_lock: threading.Lock,
+        errors: list[BaseException],
+        abort: threading.Event,
+        name: str,
+        speed_fn: Callable[[], float],
+    ) -> None:
+        super().__init__(name=name, daemon=True)
+        self.stage_index = stage_index
+        self.stage_name = stage_name
+        self.fn = fn
+        self.work_q = work_q
+        self.out_q = out_q
+        self.metrics = metrics
+        self.metrics_lock = metrics_lock
+        self.errors = errors
+        self.abort = abort
+        self.speed_fn = speed_fn
+
+    def run(self) -> None:
+        try:
+            while True:
+                got = self.work_q.get()
+                if got is _SENTINEL:
+                    break
+                if got is _RETIRE:
+                    self.work_q.remove_consumer()
+                    break
+                if self.abort.is_set():
+                    continue  # drain without processing
+                seq, value = got
+                batched = isinstance(value, Batch)
+                t0 = time.perf_counter()
+                try:
+                    # A micro-batch maps element-wise in one dequeue: the
+                    # whole run of items pays a single queue hop, one
+                    # metrics lock round and one event.
+                    result = map_batch(self.fn, value) if batched else self.fn(value)
+                except BaseException as err:  # noqa: BLE001 - reported upward
+                    self.errors.append(StageError(self.stage_name, err))
+                    self.abort.set()
+                    continue
+                dt = time.perf_counter() - t0
+                with self.metrics_lock:
+                    # Recording the effective speed the item actually saw
+                    # keeps work_estimate load-normalised: on a contended
+                    # host the inflated dt is divided back out, so the
+                    # planner does not double-count the load it also sees
+                    # in the resource view.  Default speed is 1.0 (the
+                    # local host as the reference processor).  A batch
+                    # records once with the batch-total dt and items=N
+                    # (seq = the first item's gseq — this fabric's event
+                    # sequence space).
+                    self.metrics.record_service(
+                        dt, self.speed_fn(),
+                        seq=value.gbase if batched else seq,
+                        worker=self.name,
+                        queue=self.work_q.q.qsize(),
+                        items=len(value) if batched else 1,
+                    )
+                self.out_q.put((seq, result), abort=self.abort)
+        finally:
+            self.out_q.producer_done()
 
 
 class _ThreadSession(Session):

@@ -32,8 +32,8 @@ from repro.model.mapping import Mapping
 from repro.model.optimizer import greedy_mapping
 from repro.model.throughput import ModelContext, estimates_view, snapshot_view
 from repro.monitor.resource_monitor import ResourceMonitor
+from repro.obs.events import NULL_BUS, EventBus
 from repro.util.rng import derive_rng
-from repro.util.trace import Tracer
 
 __all__ = ["AdaptivePipeline", "run_static"]
 
@@ -70,6 +70,10 @@ class AdaptivePipeline:
         Inter-stage channel capacity (items).
     seed:
         Root seed for all stochastic streams of the run.
+    events:
+        Bus that receives the run's schema events (``item.*``,
+        ``adapt.*``, ``replica.remove``) stamped in simulated seconds;
+        ``None`` emits nothing.
     """
 
     def __init__(
@@ -88,7 +92,7 @@ class AdaptivePipeline:
         buffer_capacity: int = 4,
         link_contention: bool = False,
         seed: int = 0,
-        trace: bool = False,
+        events: EventBus | None = None,
     ) -> None:
         if view_source not in ("monitor", "oracle"):
             raise ValueError(f"view_source must be 'monitor' or 'oracle', got {view_source!r}")
@@ -111,7 +115,7 @@ class AdaptivePipeline:
         self.buffer_capacity = buffer_capacity
         self.link_contention = link_contention
         self.seed = seed
-        self.tracer = Tracer(enabled=trace)
+        self.events = events if events is not None else NULL_BUS
         if initial_mapping is None:
             initial_mapping = self.default_mapping()
         self.initial_mapping = initial_mapping
@@ -152,7 +156,7 @@ class AdaptivePipeline:
             buffer_capacity=self.buffer_capacity,
             link_contention=self.link_contention,
             seed=self.seed,
-            tracer=self.tracer,
+            events=self.events,
         )
         events: list[AdaptationEvent] = []
         monitor: ResourceMonitor | None = None
@@ -223,10 +227,10 @@ class AdaptivePipeline:
                     remaining_items=remaining,
                     last_action_time=last_action,
                 )
-                self.tracer.emit(
-                    sim.now,
+                self.events.emit(
                     "adapt.decide",
                     decision.reason,
+                    at=sim.now,
                     acts=decision.acts,
                     reason=decision.reason,
                 )
@@ -271,11 +275,11 @@ class AdaptivePipeline:
                     and after_tp < before_tp * cfg.rollback_tolerance
                 ):
                     engine.reconfigure(old_mapping, decision.migration_cost)
-                    self.tracer.emit(
-                        sim.now,
+                    self.events.emit(
                         "adapt.rollback",
                         f"measured {after_tp:.3f}/s < "
                         f"{cfg.rollback_tolerance:.2f} x {before_tp:.3f}/s",
+                        at=sim.now,
                     )
                     events.append(
                         AdaptationEvent(

@@ -51,8 +51,8 @@ from repro.gridsim.engine import Simulator
 from repro.gridsim.grid import GridSystem
 from repro.model.mapping import Mapping
 from repro.monitor.instrument import PipelineInstrumentation
+from repro.obs.events import NULL_BUS, EventBus
 from repro.util.rng import derive_rng
-from repro.util.trace import Tracer
 from repro.util.validation import check_positive
 
 __all__ = ["SimPipelineEngine", "Item"]
@@ -126,7 +126,7 @@ class SimPipelineEngine:
         arrival_period: float = 0.0,
         instrument_window: int = 32,
         link_contention: bool = False,
-        tracer: Tracer | None = None,
+        events: EventBus | None = None,
     ) -> None:
         check_positive(n_items, "n_items")
         check_positive(buffer_capacity, "buffer_capacity")
@@ -150,7 +150,9 @@ class SimPipelineEngine:
         # saturate); off (default) links have infinite parallelism, matching
         # the analytic model's assumption.
         self.link_contention = bool(link_contention)
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        # Schema events go straight onto this bus, stamped in simulated
+        # seconds (``at=sim.now``).
+        self.events = events if events is not None else NULL_BUS
         self.instrumentation = PipelineInstrumentation(
             pipeline.n_stages, window=instrument_window
         )
@@ -192,7 +194,7 @@ class SimPipelineEngine:
                 created=self.sim.now,
             )
             yield self._in_ch[0].put(item)
-            self.tracer.emit(self.sim.now, "item.submit", f"emitted {seq}", seq=seq)
+            self.events.emit("item.submit", f"emitted {seq}", at=self.sim.now, seq=seq)
             if self.arrival_period > 0.0:
                 yield self.sim.timeout(self.arrival_period)
         self._in_ch[0].close()
@@ -224,10 +226,10 @@ class SimPipelineEngine:
                 if rt.epoch != epoch:
                     # Superseded by a reconfiguration: stop at this item
                     # boundary; the backlog belongs to the new generation.
-                    self.tracer.emit(
-                        self.sim.now,
+                    self.events.emit(
                         "replica.remove",
                         f"stage{stage}@{pid} retired",
+                        at=self.sim.now,
                         stage=stage,
                         pid=pid,
                     )
@@ -328,8 +330,8 @@ class SimPipelineEngine:
             now = self.sim.now
             self.instrumentation.record_completion(now)
             self.output_records.append((item.seq, now, now - item.created))
-            self.tracer.emit(
-                now, "item.complete", f"completed {item.seq}", seq=item.seq
+            self.events.emit(
+                "item.complete", f"completed {item.seq}", at=now, seq=item.seq
             )
         if not self.done.triggered:
             self.done.succeed(self.instrumentation.items_completed)
@@ -363,11 +365,11 @@ class SimPipelineEngine:
                 self._send_stop_token(rt, old_count),
                 name=f"stop-token[{stage}]",
             )
-            self.tracer.emit(
-                self.sim.now,
+            self.events.emit(
                 "adapt.act",
                 f"stage {stage}: {self.mapping.replicas(stage)} -> "
                 f"{new_mapping.replicas(stage)}",
+                at=self.sim.now,
                 stage=stage,
             )
         self.mapping = new_mapping

@@ -1,7 +1,7 @@
 """Discrete-event simulation of a computational grid.
 
 This subpackage is the substrate that replaces the paper's physical grid
-testbed (see DESIGN.md §2).  It provides:
+testbed.  It provides:
 
 * :mod:`repro.gridsim.engine` — a deterministic discrete-event simulator with
   generator-coroutine processes (a minimal SimPy-like kernel built from

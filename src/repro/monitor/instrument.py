@@ -15,7 +15,7 @@ from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.util.stats import OnlineStats, SlidingWindow
+from repro.util.stats import SlidingWindow
 
 __all__ = ["StageMetrics", "StageSnapshot", "PipelineInstrumentation"]
 
@@ -62,7 +62,9 @@ class StageMetrics:
     def __init__(self, stage_index: int, window: int = 32, events=None) -> None:
         self.stage_index = stage_index
         self.events = events
-        self.total = OnlineStats()
+        # Whole-run service total; with items_processed it gives the run's
+        # per-item mean (Session.service_means).
+        self.service_seconds = 0.0
         self._service_win = SlidingWindow(window)
         self._transfer_win = SlidingWindow(window)
         self._work_win = SlidingWindow(window)
@@ -102,8 +104,7 @@ class StageMetrics:
         """
         per_item = seconds / items if items > 1 else seconds
         self.items_processed += items
-        for _ in range(items):
-            self.total.push(per_item)
+        self.service_seconds += seconds
         self._service_win.push(per_item)
         self._work_win.push(per_item * effective_speed)
         bus = self.events

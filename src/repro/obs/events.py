@@ -88,22 +88,12 @@ SCHEMA: dict[str, str] = {
 
 @dataclass(frozen=True)
 class Event:
-    """One structured record: timestamp, schema kind, message, payload.
-
-    Field order is the historical ``TraceEvent`` order (``time, kind,
-    message, fields``) so positional construction in older call sites and
-    tests keeps working; ``category`` aliases ``kind`` for the same reason.
-    """
+    """One structured record: timestamp, schema kind, message, payload."""
 
     time: float
     kind: str
     message: str = ""
     fields: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def category(self) -> str:
-        """Legacy alias for :attr:`kind` (the tracer's old field name)."""
-        return self.kind
 
     def __str__(self) -> str:
         extra = " ".join(f"{k}={v}" for k, v in self.fields.items())

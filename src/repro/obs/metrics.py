@@ -258,13 +258,14 @@ class MetricsRecorder:
         reg = self.registry
         if kind == "stage.service":
             labels = {"stage": str(f.get("stage", "?"))}
-            reg.counter("stage_items_total", labels).inc()
+            items = f.get("items", 1)
+            reg.counter("stage_items_total", labels).inc(items)
             reg.histogram("stage_service_seconds", labels).observe(f.get("seconds", 0.0))
             if "queue" in f:
                 reg.gauge("stage_queue_length", labels).set(f["queue"])
             worker = f.get("worker")
             if worker is not None:
-                reg.counter("worker_items_total", {"worker": str(worker)}).inc()
+                reg.counter("worker_items_total", {"worker": str(worker)}).inc(items)
         elif kind == "item.submit":
             reg.counter("items_submitted_total").inc()
             if "wait" in f:

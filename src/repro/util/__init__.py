@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG streams, online statistics, rendering, tracing.
+"""Shared utilities: seeded RNG streams, online statistics, rendering.
 
 These helpers are deliberately dependency-light (numpy only) and are used by
 every other subpackage.  Nothing in :mod:`repro.util` knows about grids,
@@ -15,7 +15,6 @@ from repro.util.stats import (
     summarize,
 )
 from repro.util.tables import ascii_plot, format_float, render_series, render_table
-from repro.util.trace import TraceEvent, Tracer
 from repro.util.validation import (
     check_in_range,
     check_non_negative,
@@ -29,8 +28,6 @@ __all__ = [
     "OnlineStats",
     "SlidingWindow",
     "StatSummary",
-    "TraceEvent",
-    "Tracer",
     "ascii_plot",
     "check_in_range",
     "check_non_negative",

@@ -6,10 +6,15 @@ import time
 
 import pytest
 
-from repro.backend import AsyncioBackend, RuntimeAdaptiveRunner, ThreadBackend, local_config
+from repro.backend import (
+    AsyncioBackend,
+    RuntimeAdaptiveRunner,
+    StageError,
+    ThreadBackend,
+    local_config,
+)
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
-from repro.runtime.threads import StageError
 from repro.workloads.apps import fetch_pipeline, make_requests
 
 

@@ -5,10 +5,9 @@ import time
 
 import pytest
 
-from repro.backend import ProcessPoolBackend, ThreadBackend
+from repro.backend import ProcessPoolBackend, StageError, ThreadBackend
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
-from repro.runtime.threads import StageError
 
 
 def spec(fns, replicable=None):

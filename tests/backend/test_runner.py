@@ -4,14 +4,25 @@ import time
 
 import pytest
 
-from repro.backend import RuntimeAdaptiveRunner, ThreadBackend, local_config
+from repro.backend import (
+    BottleneckGrowthPolicy,
+    RuntimeAdaptiveRunner,
+    StageError,
+    ThreadBackend,
+    local_config,
+)
+from repro.backend.runner import propose_growth
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 
 
-def spec(fns):
+def spec(fns, replicable=None):
+    replicable = replicable or [True] * len(fns)
     return PipelineSpec(
-        tuple(StageSpec(name=f"s{i}", work=0.01, fn=f) for i, f in enumerate(fns))
+        tuple(
+            StageSpec(name=f"s{i}", work=0.01, fn=f, replicable=r)
+            for i, (f, r) in enumerate(zip(fns, replicable))
+        )
     )
 
 
@@ -140,3 +151,205 @@ class TestMeasuredResourceView:
         assert res.outputs == [(x + 1) * 2 for x in range(40)]
         assert calls, "runner never asked the backend for its measured view"
         assert all(n == runner.n_virtual_procs for n in calls)
+
+
+class TestProposeGrowth:
+    """The growth decision, isolated from threading."""
+
+    def test_picks_bottleneck(self):
+        assert (
+            propose_growth(
+                [0.01, 0.08, 0.01],
+                [1, 1, 1],
+                [True, True, True],
+                max_workers=4,
+                imbalance_threshold=1.5,
+            )
+            == 1
+        )
+
+    def test_tie_below_threshold_stays_put(self):
+        # Two stages within the threshold of each other: growing either
+        # would not relieve a dominant bottleneck.
+        assert (
+            propose_growth(
+                [0.05, 0.049],
+                [1, 1],
+                [True, True],
+                max_workers=4,
+                imbalance_threshold=1.5,
+            )
+            is None
+        )
+
+    def test_exact_threshold_boundary_grows(self):
+        assert (
+            propose_growth(
+                [0.06, 0.04],
+                [1, 1],
+                [True, True],
+                max_workers=4,
+                imbalance_threshold=1.5,
+            )
+            == 0
+        )
+
+    def test_threshold_one_grows_on_exact_tie_lowest_index(self):
+        # imbalance_threshold=1.0 accepts ties; stable sort keeps the
+        # earliest stage first, so stage 0 wins a dead heat.
+        assert (
+            propose_growth(
+                [0.05, 0.05],
+                [1, 1],
+                [True, True],
+                max_workers=4,
+                imbalance_threshold=1.0,
+            )
+            == 0
+        )
+
+    def test_single_stage_has_no_runner_up(self):
+        # runner_up == 0.0 means "no contender": always grow.
+        assert (
+            propose_growth(
+                [0.05], [1], [True], max_workers=4, imbalance_threshold=1.5
+            )
+            == 0
+        )
+
+    def test_per_worker_normalisation_shifts_bottleneck(self):
+        # Stage 0 is slower in absolute terms but already has 4 workers;
+        # per-worker it is cheap, so the decision must target stage 1.
+        assert (
+            propose_growth(
+                [0.08 / 4, 0.05],
+                [4, 1],
+                [True, True],
+                max_workers=4,
+                imbalance_threshold=1.5,
+            )
+            == 1
+        )
+
+    def test_respects_max_workers_cap(self):
+        assert (
+            propose_growth(
+                [0.08, 0.01],
+                [4, 1],
+                [True, True],
+                max_workers=4,
+                imbalance_threshold=1.5,
+            )
+            is None
+        )
+
+    def test_stateful_bottleneck_never_grows(self):
+        # The decision targets the bottleneck only; a stateful bottleneck
+        # means no growth at all (not growth of the runner-up).
+        assert (
+            propose_growth(
+                [0.08, 0.01],
+                [1, 1],
+                [False, True],
+                max_workers=4,
+                imbalance_threshold=1.5,
+            )
+            is None
+        )
+
+    def test_all_idle_stays_put(self):
+        assert (
+            propose_growth(
+                [0.0, 0.0], [1, 1], [True, True], max_workers=4, imbalance_threshold=1.5
+            )
+            is None
+        )
+
+
+def growth_runner(pipe, *, max_workers, imbalance_threshold=1.5):
+    """Bottleneck growth on a warm thread session, deciding every 50 ms."""
+    config = local_config(interval=0.05, cooldown=0.05, min_samples=2, settle_time=0.05)
+    return RuntimeAdaptiveRunner(
+        pipe,
+        ThreadBackend(pipe, max_replicas=max_workers),
+        policy=BottleneckGrowthPolicy(
+            pipe,
+            config,
+            max_workers=max_workers,
+            imbalance_threshold=imbalance_threshold,
+        ),
+        rollback=False,
+    )
+
+
+def grown_stages(results):
+    """(stage, new count) for every replica change the runs recorded."""
+    grown = []
+    for res in results:
+        for event in res.adaptation_events:
+            for i in range(event.mapping_before.n_stages):
+                after = len(event.mapping_after.replicas(i))
+                if after != len(event.mapping_before.replicas(i)):
+                    grown.append((i, after))
+    return grown
+
+
+class TestBottleneckGrowthPolicy:
+    def test_grows_bottleneck_stage(self):
+        def light(x):
+            return x
+
+        def heavy(x):
+            time.sleep(0.004)
+            return x
+
+        with growth_runner(spec([light, heavy, light]), max_workers=3) as runner:
+            results = [runner.run(range(30)) for _ in range(3)]
+            replicas = runner.backend.replica_counts()
+        assert all(r.outputs == list(range(30)) for r in results)
+        # The heavy middle stage must have gained workers.
+        assert replicas[1] > 1
+        assert all(stage == 1 for stage, _ in grown_stages(results))
+
+    def test_respects_max_workers(self):
+        def heavy(x):
+            time.sleep(0.002)
+            return x
+
+        with growth_runner(spec([heavy]), max_workers=2) as runner:
+            for _ in range(5):
+                runner.run(range(10))
+            assert runner.backend.replica_counts()[0] <= 2
+
+    def test_never_replicates_stateful_stage(self):
+        def heavy(x):
+            time.sleep(0.002)
+            return x
+
+        pipe = spec([heavy, lambda x: x], replicable=[False, True])
+        with growth_runner(pipe, max_workers=4) as runner:
+            for _ in range(3):
+                runner.run(range(10))
+            assert runner.backend.replica_counts()[0] == 1
+
+    def test_invalid_params(self):
+        pipe = spec([lambda x: x])
+        with pytest.raises(ValueError):
+            BottleneckGrowthPolicy(pipe, max_workers=0)
+        with pytest.raises(ValueError):
+            BottleneckGrowthPolicy(pipe, imbalance_threshold=0.5)
+
+    def test_adaptive_batches_surface_replicated_stage_error(self):
+        calls = []
+
+        def boom(x):
+            calls.append(x)
+            if len(calls) > 15:
+                raise RuntimeError("dies in stream 2")
+            time.sleep(0.002)
+            return x
+
+        runner = growth_runner(spec([boom]), max_workers=3, imbalance_threshold=1.0)
+        with runner, pytest.raises(StageError, match="s0"):
+            for _ in range(3):
+                runner.run(range(10))

@@ -22,12 +22,12 @@ from repro.backend import (
     ProcessPoolBackend,
     SessionClosed,
     SimBackend,
+    StageError,
     ThreadBackend,
     Ticket,
 )
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
-from repro.runtime.threads import StageError
 from repro.skel.api import open_pipeline
 
 

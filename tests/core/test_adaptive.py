@@ -8,6 +8,7 @@ from repro.core.policy import AdaptationConfig
 from repro.core.stage import StageSpec
 from repro.gridsim.spec import heterogeneous_grid, uniform_grid
 from repro.model.mapping import Mapping
+from repro.obs.events import NULL_BUS, SCHEMA, EventBus
 
 
 def balanced(n=3, work=0.1):
@@ -211,3 +212,40 @@ class TestAdaptiveRunner:
         assert [str(e) for e in a.adaptation_events] == [
             str(e) for e in b.adaptation_events
         ]
+
+
+def _perturbed_run(events=None):
+    grid = uniform_grid(4)
+    grid.perturb(1, [(20.0, 0.1)])
+    runner = AdaptivePipeline(
+        balanced(),
+        grid,
+        config=AdaptationConfig(),
+        initial_mapping=Mapping.single([0, 1, 2]),
+        seed=3,
+        events=events,
+    )
+    return runner, runner.run(300)
+
+
+class TestEvents:
+    def test_bus_receives_schema_kinds_at_simulated_times(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        _, res = _perturbed_run(bus)
+        kinds = {e.kind for e in seen}
+        assert kinds <= SCHEMA.keys()
+        assert {"item.submit", "item.complete", "adapt.decide", "adapt.act"} <= kinds
+        assert sum(e.kind == "item.complete" for e in seen) == 300
+        assert [e.time for e in seen] == sorted(e.time for e in seen)
+        assert seen[-1].time <= res.end_time
+        acts = [e for e in seen if e.kind == "adapt.act"]
+        assert len(acts) >= len(res.adaptation_events)
+
+    def test_no_bus_emits_nothing_and_changes_nothing(self):
+        runner, silent = _perturbed_run()
+        assert runner.events is NULL_BUS
+        _, observed = _perturbed_run(EventBus())
+        assert silent.completion_times == observed.completion_times
+        assert silent.mapping_history == observed.mapping_history

@@ -42,6 +42,11 @@ class TestExamples:
         assert "replication sweep" in out
         assert "final mapping" in out
 
+    def test_image_pipeline_local(self):
+        out = run_example("image_pipeline_local.py")
+        assert "manual replication" in out
+        assert "final replicas per stage" in out
+
     def test_process_pipeline(self):
         out = run_example("process_pipeline.py")
         assert "warm process pools" in out

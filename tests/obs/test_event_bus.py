@@ -10,8 +10,12 @@ class TestEvent:
         e = Event(1.5, "adapt.decide", "remap", {"stage": 3})
         assert e.time == 1.5
         assert e.kind == "adapt.decide"
-        assert e.category == "adapt.decide"  # legacy alias
+        assert e.message == "remap"
+
+    def test_str_includes_fields(self):
+        e = Event(1.5, "adapt.act", "remap", {"stage": 3})
         assert "stage=3" in str(e)
+        assert "adapt.act" in str(e)
 
     def test_fields_default_empty(self):
         assert Event(0.0, "stream.begin").fields == {}

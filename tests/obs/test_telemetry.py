@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.backend import SimBackend
+from repro.core import AdaptationConfig
+from repro.gridsim import uniform_grid
+from repro.model import Mapping
 from repro.obs import Telemetry, as_telemetry, read_journal, spans_from_journal
 from repro.obs.exporters import render_prometheus
 from repro.skel.api import open_pipeline
+from repro.workloads import balanced_pipeline
 
 
 def _run(session, n=6):
@@ -78,6 +83,23 @@ class TestMetricsAndPrometheus:
         assert "repro_stage_service_seconds_bucket" in text
         reg = t.registry
         assert reg.counter("streams_opened_total").value == 1
+
+    def test_item_counters_count_items_when_batched(self):
+        t = Telemetry(metrics=True)
+        session = open_pipeline(
+            [lambda x: x + 1, lambda x: x * 2], telemetry=t, batching="auto"
+        )
+        assert _run(session, 2000) == [(x + 1) * 2 for x in range(2000)]
+        reg = t.registry
+        assert reg.counter("items_completed_total").value == 2000
+        for stage in ("0", "1"):
+            assert reg.counter("stage_items_total", {"stage": stage}).value == 2000
+        workers = [
+            inst.value
+            for name, _labels, inst in reg.collect()
+            if name == "worker_items_total"
+        ]
+        assert sum(workers) == 2 * 2000
 
     def test_spans_reconstruct_timeline(self, tmp_path):
         t = Telemetry(spans=True)
@@ -173,3 +195,31 @@ class TestAdaptationJournalled:
         assert "adapt.decide" in kinds
         if "adapt.act" in kinds:
             assert "replica.add" in kinds
+
+
+class TestSimulatorEvents:
+    def test_adaptive_sim_session_emits_simulated_times(self):
+        grid = uniform_grid(4)
+        grid.perturb(1, [(20.0, 0.1)])  # node 1 degrades at t=20 s
+        backend = SimBackend(
+            balanced_pipeline(3, work=0.1),
+            grid=grid,
+            adaptive=AdaptationConfig(),
+            mapping=Mapping.single([0, 1, 2]),
+        )
+        seen = []
+        backend.open().events.subscribe(
+            seen.append, kinds=("item.complete", "adapt.decide")
+        )
+        res = backend.run(range(600))
+        backend.close()
+        # The session stamps its own item.complete records (wall clock,
+        # with stream=); the simulator's carry only seq and simulated time.
+        done = [
+            e.time for e in seen
+            if e.kind == "item.complete" and "stream" not in e.fields
+        ]
+        assert len(done) == 600
+        assert done == sorted(done)  # simulated seconds, never wall time
+        assert done[-1] <= res.elapsed
+        assert any(e.kind == "adapt.decide" for e in seen)
