@@ -144,8 +144,9 @@ def test_e21_microbatch(benchmark, report):
         # Direction holds everywhere, machine-independent: batching must
         # never cost throughput on sub-ms stages.
         assert row["batch_ratio"] > 1.0, row
-        # The first batched result arrives promptly under the default
-        # linger (2 ms deadline + one batch's service, not a drain wait).
+        # The first batched result arrives promptly: the first item finds
+        # the pipeline idle and is cut alone at submit (one item's service,
+        # not a linger or drain wait).
         assert row["first_ms"] < 500.0, row
         if not quick_mode() and row["backend"] in ("threads", "processes"):
             # The issue's acceptance bar, on unloaded full-mode runs.

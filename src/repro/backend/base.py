@@ -260,7 +260,12 @@ class Session:
         # queues — a deliberately *additional* control, so a wide pipeline
         # (E15's 1024-replica fan-out) is never strangled by a constant.
         self.max_inflight = max_inflight
-        self._cv = threading.Condition()
+        lock = threading.RLock()
+        self._cv = threading.Condition(lock)
+        # The batch flusher's own wake-up over the same lock: only a fresh
+        # linger deadline, a queued cut or close() concern it, so the
+        # per-delivery notifies on _cv never rouse it.
+        self._flush_cv = threading.Condition(lock)
         # RLock: close callbacks (e.g. "close the owning backend") re-enter
         # close(), which must no-op instead of deadlocking; a concurrent
         # closer from another thread still waits for shutdown to finish.
@@ -325,7 +330,8 @@ class Session:
         )
         if self._bcfg is not None:
             # The flusher guarantees the linger deadline (partial batches
-            # under trickle load) and drains window-full deadlock cuts.
+            # buffered behind in-flight work) and drains window-full
+            # deadlock cuts.
             threading.Thread(
                 target=self._flusher_loop,
                 name=f"session-{self.session_id}-flush",
@@ -436,7 +442,7 @@ class Session:
                     # only admitted-but-unexecuted items sit in the assembly
                     # buffer, so cut the partial batch before parking.
                     self._flushq.append(self._cut_locked("window"))
-                    self._cv.notify_all()
+                    self._flush_cv.notify()
                 if blocked_t0 is None:
                     blocked_t0 = time.perf_counter()
                 self._cv.wait(0.05)
@@ -455,23 +461,17 @@ class Session:
         # item's Ticket, and gseq lets collectors resolve executors whose
         # internal sequence space is session-global (threads, asyncio).
         # ``wait`` rides along only when bounded admission actually blocked
-        # — the profiler's admit-wait phase, absent meaning zero.
-        if admit_wait:
+        # — the profiler's admit-wait phase, absent meaning zero.  Guarded:
+        # an unobserved submit builds no trace id at all.
+        if self.events.wants("item.submit"):
+            extra = {"wait": admit_wait} if admit_wait else {}
             self.events.emit(
                 "item.submit",
                 stream=stream,
                 seq=seq,
                 gseq=gseq,
                 trace=f"{self.session_id}:{stream}:{seq}",
-                wait=admit_wait,
-            )
-        else:
-            self.events.emit(
-                "item.submit",
-                stream=stream,
-                seq=seq,
-                gseq=gseq,
-                trace=f"{self.session_id}:{stream}:{seq}",
+                **extra,
             )
         if self._bcfg is None:
             try:
@@ -587,6 +587,7 @@ class Session:
                 self._closed = True
                 streams, items = self._streams_completed, self._items_total
                 self._cv.notify_all()
+                self._flush_cv.notify()
             # Before _shutdown, so executor teardown events (replica
             # removals, worker shutdowns) follow it in the journal and the
             # telemetry close callback has not yet run.
@@ -720,16 +721,28 @@ class Session:
         Called under ``_cv`` right after admission, so buffer order is
         exactly sequence order and every buffered run is consecutive.
         Returns the cut (for the admitting thread to submit outside the
-        lock) when the size or byte bound tripped, else None.
+        lock) when the item went out at once or the size or byte bound
+        tripped, else None.
+
+        Nagle's rule: an item that finds the buffer empty and every earlier
+        item of the stream delivered has no in-flight work to wait behind,
+        so it is cut alone (``"idle"``) instead of lingering for peers
+        that may never come.  Otherwise it buffers, and the first buffered
+        item arms the linger deadline and wakes the flusher to time it.
         """
         cfg = self._bcfg
-        if not self._buf:
+        buf = self._buf
+        if not buf:
             self._buf_base_seq = seq
             self._buf_gbase = gseq
+            if seq == self._delivered:
+                buf.append(item)
+                return self._cut_locked("idle")
             self._buf_deadline = time.perf_counter() + cfg.linger_s
-        self._buf.append(item)
+            self._flush_cv.notify()
+        buf.append(item)
         self._buf_bytes += approx_nbytes(item)
-        if len(self._buf) >= cfg.max_items:
+        if len(buf) >= cfg.max_items:
             return self._cut_locked("size")
         if self._buf_bytes >= cfg.max_bytes:
             return self._cut_locked("bytes")
@@ -772,10 +785,15 @@ class Session:
             raise
 
     def _flusher_loop(self) -> None:
-        """Background flusher: linger deadlines + window-full cut drain."""
+        """Background flusher: linger deadlines + window-full cut drain.
+
+        Event-driven: it sleeps on ``_flush_cv`` until a buffer arms a
+        deadline, a window-full cut is queued or the session closes, and
+        then sleeps exactly until the armed deadline — never a poll.
+        """
         while True:
             cut = None
-            with self._cv:
+            with self._flush_cv:
                 if self._closed:
                     return
                 if self._flushq:
@@ -785,10 +803,10 @@ class Session:
                     if now >= self._buf_deadline:
                         cut = self._cut_locked("linger")
                     else:
-                        self._cv.wait(self._buf_deadline - now)
+                        self._flush_cv.wait(self._buf_deadline - now)
                         continue
                 else:
-                    self._cv.wait(0.05)
+                    self._flush_cv.wait()
                     continue
                 self._flush_busy = True
             try:

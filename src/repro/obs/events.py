@@ -43,7 +43,10 @@ SCHEMA: dict[str, str] = {
     "item.complete": "item delivered in order: stream, seq",
     # -- micro-batch lifecycle (backend/base.py assembler/splitter; seq =
     #    the batch's own stream-scoped number, base = first item seq) ------
-    "batch.assemble": "admitted items coalesced into a batch: stream, seq, base, items[, reason]",
+    "batch.assemble": (
+        "admitted items coalesced into a batch: stream, seq, base, items, reason"
+        " (size | bytes | idle | linger | window | drain)"
+    ),
     "batch.encode": "a whole batch encoded as one frame: stage, seq, base, items, nbytes[, seconds]",
     "batch.split": "batch split back into per-item results: stream, seq, base, items",
     # -- admission window retune (Little's-law auto max_inflight) ----------

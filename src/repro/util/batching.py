@@ -13,7 +13,10 @@ touches it: the session assembles and splits batches, the thread runtime's
 workers and the process/distributed worker *processes* map over them — and
 pickled batches must resolve against one importable module on any host.
 
-Sizing has three bounds (any one flushes the assembly buffer):
+An item that finds the pipeline idle (empty buffer, every earlier item of
+the stream delivered) is cut alone at submit — Nagle's rule: there is no
+in-flight work to wait behind, so it never lingers.  Every other item
+joins the assembly buffer, which has three bounds (any one flushes it):
 
 * ``max_items`` — the count bound; ``"auto"`` calibrates it at the first
   batched open from a quick probe of this host's per-item hop cost
@@ -21,8 +24,9 @@ Sizing has three bounds (any one flushes the assembly buffer):
   ``calibrated_auto_threshold`` pattern;
 * ``max_bytes`` — the size bound, so a batch of large payloads never
   balloons one frame past what the transport moves well;
-* ``linger_s`` — the deadline bound: under trickle load a partial batch is
-  flushed after this long, capping the latency cost of waiting for peers.
+* ``linger_s`` — the deadline bound: a partial batch is flushed this long
+  after its first item was buffered, capping the latency cost of waiting
+  for peers.  It bounds only items buffered behind work in flight.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ __all__ = [
     "normalize_batching",
 ]
 
-#: Default flush deadline for a partial batch (the first-result latency
-#: cost of batching under trickle load is at most this).
+#: Default flush deadline for a partial batch (the latency cost of batching
+#: for an item buffered behind in-flight work is at most this).
 DEFAULT_LINGER_S = 0.002
 
 #: Default byte bound per batch — one frame of roughly this size is still

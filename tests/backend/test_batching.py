@@ -3,13 +3,14 @@
 The load-bearing claims: coalescing admitted items into batch frames is
 *transparent* — per-item submit/results/Ticket semantics, stream ordering,
 mid-stream reconfiguration and exactly-once re-dispatch are unchanged —
-while the linger deadline bounds the latency a partial batch can add under
-trickle arrivals.
+while an item that finds the pipeline idle is cut at submit, and the linger
+deadline bounds the latency a partial batch behind in-flight work can add.
 
 Distributed/process stage functions live at module level: they are pickled
 by reference and resolved inside forked worker processes.
 """
 
+import sys
 import threading
 import time
 
@@ -233,29 +234,205 @@ class TestTicketCompletion:
             assert tickets[-1].done()
             session.drain()
 
-    def test_linger_flushes_partial_batch_under_trickle(self):
-        # One item against a 64-item bound: only the linger deadline can
-        # flush it, and it must complete well before any drain barrier.
-        with ThreadBackend(spec([_inc])) as b:
+    def test_linger_flushes_partial_batch_under_trickle(self, tmp_path):
+        # Item 0 is held in flight by a blocked stage, so item 1 has work to
+        # wait behind: against a 64-item bound only the linger deadline can
+        # flush it, and the flusher must cut it at that deadline — not at
+        # some later poll — while item 0 is still in flight.
+        from repro.obs import read_journal
+
+        linger = 0.005
+        entered, gate = threading.Event(), threading.Event()
+
+        def held(x):
+            if x == 0:
+                entered.set()
+                gate.wait(5.0)
+            return x + 1
+
+        path = tmp_path / "linger.jsonl"
+        with ThreadBackend(spec([held])) as b:
             session = b.open(
-                batching={"max_items": 64, "linger_s": 0.02}
+                batching={"max_items": 64, "linger_s": linger}, telemetry=path
             )
-            t0 = time.perf_counter()
-            ticket = session.submit(41)
+            session.submit(0)
+            assert entered.wait(5.0)
+            ticket = session.submit(1)
+            # Delivery is in order, so item 1 waits on item 0; long enough
+            # for its linger cut to happen while item 0 is still held.
+            assert not ticket.wait(timeout=0.1)
+            gate.set()
             assert ticket.wait(timeout=5.0)
-            elapsed = time.perf_counter() - t0
-            assert elapsed < 2.0, f"linger flush took {elapsed:.3f}s"
-            assert session.drain() == [42]
+            assert session.drain() == [1, 2]
+            session.close()
+        recs = list(read_journal(path))
+        submit1 = next(
+            r for r in recs if r["kind"] == "item.submit" and r["seq"] == 1
+        )
+        cut1 = next(
+            r for r in recs if r["kind"] == "batch.assemble" and r["base"] == 1
+        )
+        assert cut1["reason"] == "linger"
+        assert cut1["items"] == 1
+        gap = cut1["t"] - submit1["t"]
+        # Honoured, not early (less a sliver: the deadline is armed just
+        # before item.submit is stamped), and not late by a poll period.
+        assert linger - 0.002 <= gap < linger + 0.02, f"cut after {gap * 1e3:.1f} ms"
 
     def test_wait_timeout_returns_false(self):
-        with ThreadBackend(spec([_inc])) as b:
+        gate = threading.Event()
+
+        def held(x):
+            gate.wait(5.0)
+            return x + 1
+
+        with ThreadBackend(spec([held])) as b:
             session = b.open(batching={"max_items": 64, "linger_s": 5.0})
             ticket = session.submit(1)
-            # Buffered behind a long linger: a short wait must time out.
+            # Held in a blocked stage: a short wait must time out.
             assert not ticket.wait(timeout=0.05)
             assert not ticket.done()
+            gate.set()
             assert session.drain() == [2]
             assert ticket.done()
+
+
+# ------------------------------------------------------------ idle-cut layer
+IDLE_CUT_BACKENDS = ["threads", "processes", "asyncio"]
+
+
+def _assemble_reasons(session):
+    """Subscribe to ``batch.assemble``; return the live (reason, items) list."""
+    cuts = []
+    session.events.subscribe(
+        lambda ev: cuts.append((ev.fields["reason"], ev.fields["items"])),
+        kinds=["batch.assemble"],
+    )
+    return cuts
+
+
+@pytest.mark.parametrize("backend", IDLE_CUT_BACKENDS)
+class TestIdleCut:
+    """Nagle's rule: only an item with in-flight work to wait behind lingers."""
+
+    def test_lone_item_on_idle_session_is_cut_at_submit(self, backend):
+        # A 1 s linger: had the lone item waited for peers, each round trip
+        # would take at least that long.
+        session = open_pipeline(
+            [_inc], backend=backend, batching={"max_items": 64, "linger_s": 1.0}
+        )
+        try:
+            session.submit(0)
+            assert session.drain() == [1]  # warm the executor
+            cuts = _assemble_reasons(session)
+            latencies = []
+            for i in range(3):
+                t0 = time.perf_counter()
+                ticket = session.submit(i)
+                assert ticket.wait(timeout=5.0)
+                latencies.append(time.perf_counter() - t0)
+                assert session.drain() == [i + 1]
+            assert cuts == [("idle", 1)] * 3
+            assert max(latencies) < 0.5, latencies
+            assert min(latencies) < 0.05, latencies
+        finally:
+            session.close()
+
+    def test_back_to_back_items_still_travel_in_size_batches(self, backend):
+        n = 256
+        session = open_pipeline(
+            [_inc], backend=backend, batching={"max_items": 16, "linger_s": 1.0}
+        )
+        try:
+            cuts = _assemble_reasons(session)
+            for i in range(n):
+                session.submit(i)
+            assert session.drain() == [x + 1 for x in range(n)]
+        finally:
+            session.close()
+        assert sum(items for _, items in cuts) == n
+        by_size = sum(items for reason, items in cuts if reason == "size")
+        assert by_size >= 0.75 * n, cuts
+
+    def test_idle_cuts_keep_order_and_drain(self, backend):
+        # Alternate lone items (each waited for, so the next finds the
+        # pipeline idle) with back-to-back bursts, over two streams, while a
+        # consumer takes results live.
+        session = open_pipeline(
+            [_inc, _jitter_square],
+            backend=backend,
+            batching={"max_items": 8, "linger_s": 0.002},
+        )
+        try:
+            cuts = _assemble_reasons(session)
+            for _ in range(2):
+                got = []
+                consumer = threading.Thread(
+                    target=lambda: got.extend(session.results()), daemon=True
+                )
+                consumer.start()
+                x = 0
+                for burst in (1, 12, 1, 1, 20, 1):
+                    tickets = [session.submit(x + k) for k in range(burst)]
+                    x += burst
+                    if burst == 1:
+                        assert tickets[0].wait(timeout=5.0)
+                leftovers = session.drain()
+                consumer.join(timeout=5.0)
+                assert got + leftovers == [(v + 1) ** 2 for v in range(x)]
+            reasons = {reason for reason, _ in cuts}
+            assert "idle" in reasons and reasons - {"idle"}, cuts
+        finally:
+            session.close()
+
+
+def test_concurrent_producers_with_idle_cuts_tile_the_stream():
+    # More producers than cores, a short switch interval, and producers that
+    # keep waiting for their own tickets so idle cuts race with buffered
+    # ones and with deliveries: every seq must be cut exactly once, in
+    # consecutive runs, and delivered in order.
+    n_producers, per_producer = 6, 80
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        session = open_pipeline(
+            [_inc], batching={"max_items": 8, "linger_s": 0.001}
+        )
+        try:
+            cuts = []
+            session.events.subscribe(
+                lambda ev: cuts.append((ev.fields["base"], ev.fields["items"])),
+                kinds=["batch.assemble"],
+            )
+            submitted = []  # (seq, value), appended under the GIL
+
+            def produce(p):
+                for k in range(per_producer):
+                    x = p * per_producer + k
+                    ticket = session.submit(x)
+                    submitted.append((ticket.seq, x))
+                    if k % 5 == 0:
+                        assert ticket.wait(timeout=10.0)
+
+            threads = [
+                threading.Thread(target=produce, args=(p,), daemon=True)
+                for p in range(n_producers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+            out = session.drain()
+        finally:
+            session.close()
+    finally:
+        sys.setswitchinterval(interval)
+    n = n_producers * per_producer
+    assert len(submitted) == n
+    assert out == [x + 1 for _, x in sorted(submitted)]
+    covered = sorted(seq for base, items in cuts for seq in range(base, base + items))
+    assert covered == list(range(n))
 
 
 # ----------------------------------------------------------- adaptive layer
